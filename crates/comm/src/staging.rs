@@ -57,19 +57,15 @@ impl StagedMsg {
     }
 }
 
-/// Merges per-shard window stages into one deterministic delivery order.
+/// Sorts every shard's window stage, appended to `merged` in any order,
+/// into the deterministic delivery order of [`StagedMsg::key`].
 ///
-/// The result is sorted by [`StagedMsg::key`]; because keys are unique the
-/// output is independent of the order of `stages` (shards may report in
-/// any order without breaking byte-identity).
-pub fn merge_windows(stages: Vec<Vec<StagedMsg>>) -> Vec<StagedMsg> {
-    let total = stages.iter().map(Vec::len).sum();
-    let mut merged: Vec<StagedMsg> = Vec::with_capacity(total);
-    for stage in stages {
-        merged.extend(stage);
-    }
-    merged.sort_by_key(StagedMsg::key);
-    merged
+/// Keys are unique, so the result does not depend on the append order
+/// (shards may report in any order without breaking byte-identity), and
+/// an unstable sort, which does not allocate, equals a stable one. The
+/// caller owns the buffer and can reuse it across windows.
+pub fn merge_windows(merged: &mut [StagedMsg]) {
+    merged.sort_unstable_by_key(StagedMsg::key);
 }
 
 /// Minimum lookahead over a set of cross-shard link profiles — the widest
@@ -145,8 +141,10 @@ mod tests {
     fn merge_is_independent_of_stage_order() {
         let a = vec![m(10, 0, 0, 1), m(30, 0, 1, 2)];
         let b = vec![m(10, 1, 0, 1), m(20, 1, 1, 3)];
-        let fwd = merge_windows(vec![a.clone(), b.clone()]);
-        let rev = merge_windows(vec![b, a]);
+        let mut fwd = [a.clone(), b.clone()].concat();
+        let mut rev = [b, a].concat();
+        merge_windows(&mut fwd);
+        merge_windows(&mut rev);
         assert_eq!(fwd, rev);
         let keys: Vec<_> = fwd.iter().map(StagedMsg::key).collect();
         let mut sorted = keys.clone();

@@ -31,13 +31,22 @@
 //!
 //! # Parallelism
 //!
-//! Worker threads own disjoint shard subsets (round-robin by shard id)
-//! for the whole run; worlds are built *inside* their worker so no
-//! non-`Send` state ever crosses a thread boundary. The coordinator and
-//! workers exchange plain-data messages over channels once per window.
+//! Workers own disjoint shard subsets (round-robin by shard id) for the
+//! whole run. The calling thread is the coordinator and worker 0: it runs
+//! its own shards. `jobs - 1` helper threads build theirs *inside* the
+//! thread, so no non-`Send` state ever crosses a thread boundary, and
+//! `jobs = 1` spawns no thread at all. Each worker trades plain data with
+//! the coordinator through one `Port` whose buffers live for the whole
+//! run, and the two sides meet once per window on an atomic generation
+//! `Barrier` that polls briefly and then parks. Drop guards on both
+//! sides turn a panic anywhere into a panic of [`FleetSim::run`], never a
+//! hang.
 
-use std::sync::mpsc;
-use std::thread;
+use std::panic;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 use comm::{ClassWeights, IngressLine, LinkProfile, MsgClass, StagedMsg};
 use dsm::Access;
@@ -177,18 +186,6 @@ pub struct FleetSim {
     tenants: Vec<TenantSpec>,
 }
 
-/// Coordinator → worker: one window's marching orders.
-enum Cmd {
-    /// Advance every owned shard to `end`, injecting `deliveries` first
-    /// (already filtered to this worker, in global merge order).
-    Window {
-        end: SimTime,
-        deliveries: Vec<Delivery>,
-    },
-    /// The fleet is done: report final shard state.
-    Finish,
-}
-
 /// A merged cross-shard message scheduled into a destination shard.
 struct Delivery {
     shard: u32,
@@ -198,16 +195,105 @@ struct Delivery {
     bytes: u64,
 }
 
-/// Worker → coordinator messages.
-enum Report {
-    /// One shard finished a window.
-    Window {
-        shard: u32,
-        staged: Vec<StagedMsg>,
-        clients_done: bool,
-    },
-    /// One shard's final state (sent on [`Cmd::Finish`]).
-    Done(Box<ShardResult>),
+/// One shard as its worker owns it for the whole run.
+struct Shard {
+    id: u32,
+    sim: VmSim,
+    /// Next `src_seq` this shard stages (the merge tie-breaker).
+    seq: u64,
+}
+
+/// The plain data one worker exchanges with the coordinator per window.
+/// Its buffers are cleared, never dropped, so a steady-state window
+/// allocates nothing.
+#[derive(Default)]
+struct Port {
+    /// End of the window to run.
+    end: SimTime,
+    /// Deliveries to inject first, in global merge order.
+    deliveries: Vec<Delivery>,
+    /// Messages every owned shard staged this window.
+    staged: Vec<StagedMsg>,
+    /// Whether every client on the owned shards has finished.
+    clients_done: bool,
+}
+
+/// How long a waiter at the window barrier polls before it parks. A
+/// window on a dispatch-bound fleet takes tens of microseconds, so a
+/// balanced pair of workers meets while polling; a waiter stuck behind a
+/// long window sleeps instead.
+const POLL: Duration = Duration::from_micros(50);
+
+/// Polls `ready`, yielding the core between polls, for up to [`POLL`],
+/// then parks until it holds. Yielding rather than a busy `spin_loop`
+/// matters when workers outnumber free cores (more `jobs` than cores, or
+/// a neighbour on one of them): the thread being waited for then shares
+/// the waiter's core and gets it at once, instead of after a whole spin.
+/// Wakers set the condition before they unpark, and an unpark that lands
+/// before the park makes the park return at once, so no wake-up is lost.
+fn wait_until(ready: impl Fn() -> bool) {
+    if ready() {
+        return;
+    }
+    let start = Instant::now();
+    while !ready() {
+        if start.elapsed() < POLL {
+            thread::yield_now();
+        } else {
+            thread::park();
+        }
+    }
+}
+
+/// The atomic generation barrier between the coordinator and its helpers.
+///
+/// Ordering: the coordinator fills the helpers' [`Port`]s, then stores
+/// `gen` with `Release`; a helper loads it with `Acquire` before it locks
+/// its port. A helper releases its port, then bumps `arrived` with
+/// `Release`; the coordinator loads it with `Acquire` before it reads the
+/// ports. So each side's port writes happen before the other side's reads.
+#[derive(Default)]
+struct Barrier {
+    /// The window the helpers may run (window numbers start at 1).
+    gen: AtomicU64,
+    /// Windows finished, summed over helpers.
+    arrived: AtomicU64,
+    /// The run is over, normally or by a coordinator panic.
+    stop: AtomicBool,
+    /// A helper panicked.
+    failed: AtomicBool,
+}
+
+/// Ends the helpers' wait loop when dropped, so they exit when the
+/// coordinator finishes *or* panics (say, on the `max_windows` cap).
+struct StopGuard<'a> {
+    barrier: &'a Barrier,
+    helpers: Vec<Thread>,
+}
+
+impl Drop for StopGuard<'_> {
+    fn drop(&mut self) {
+        self.barrier.stop.store(true, Ordering::Release);
+        for h in &self.helpers {
+            h.unpark();
+        }
+    }
+}
+
+/// Tells the coordinator when its helper unwinds, so the coordinator's
+/// barrier wait never outlives a dead helper.
+struct FailGuard<'a> {
+    barrier: &'a Barrier,
+    coordinator: &'a Thread,
+}
+
+impl Drop for FailGuard<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.barrier.failed.store(true, Ordering::Release);
+            self.coordinator.unpark();
+        }
+    }
 }
 
 struct ShardResult {
@@ -218,6 +304,8 @@ struct ShardResult {
     /// `(global tenant id, client samples)`, in local tenant order.
     tenants: Vec<(u32, Vec<u64>)>,
 }
+
+const POISONED: &str = "fleet port poisoned by a panicking helper";
 
 impl FleetSim {
     /// Builds a fleet; `tenants[t]` describes global tenant `t`, which
@@ -245,217 +333,267 @@ impl FleetSim {
         &self.config
     }
 
-    /// Runs the fleet on `jobs` worker threads (clamped to `[1, shards]`)
-    /// and returns the merged report. The report — including its digest —
-    /// is independent of `jobs`: the serial run and every parallel run
-    /// execute the same windowed algorithm in the same merge order.
+    /// Runs the fleet on `jobs` workers (clamped to `[1, shards]`) and
+    /// returns the merged report. The calling thread is worker 0 and the
+    /// coordinator; `jobs - 1` helper threads run the other shards, so
+    /// `jobs = 1` spawns no thread. The report — including its digest —
+    /// is independent of `jobs`: every run executes the same windowed
+    /// algorithm in the same merge order.
     ///
     /// # Panics
     ///
     /// Panics if the fleet exceeds [`FleetConfig::max_windows`] barriers
-    /// without every client finishing (a deadlocked tenant graph), or if
-    /// a worker thread panics.
-    #[allow(clippy::panic)] // documented contract: a hung fleet is a caller bug
+    /// without every client finishing (a deadlocked tenant graph), or
+    /// with a shard's own panic payload if simulating that shard panics.
     pub fn run(&self, jobs: usize) -> FleetReport {
-        let cfg = &self.config;
-        let shards = cfg.shards as usize;
+        let shards = self.config.shards as usize;
         let jobs = jobs.clamp(1, shards.max(1));
-        let window = cfg.fleet_link.lookahead();
-        assert!(!window.is_zero(), "cross-shard link needs nonzero latency");
+        assert!(
+            !self.config.fleet_link.lookahead().is_zero(),
+            "cross-shard link needs nonzero latency"
+        );
 
-        let (report_tx, report_rx) = mpsc::channel::<Report>();
-        let mut out: Option<FleetReport> = None;
+        let barrier = Barrier::default();
+        let ports: Vec<Mutex<Port>> = (0..jobs).map(|_| Mutex::default()).collect();
+        let coordinator = thread::current();
         thread::scope(|scope| {
-            // Spin up workers; each builds and owns its shards for the
-            // whole run (worlds hold non-Send state, so they never move).
-            let mut cmd_txs: Vec<mpsc::Sender<Cmd>> = Vec::with_capacity(jobs);
-            let owner_of: Vec<usize> = (0..shards).map(|s| s % jobs).collect();
-            for w in 0..jobs {
-                let (tx, rx) = mpsc::channel::<Cmd>();
-                cmd_txs.push(tx);
-                let owned: Vec<u32> = (0..shards as u32)
-                    .filter(|s| *s as usize % jobs == w)
-                    .collect();
-                let tx_back = report_tx.clone();
-                scope.spawn(move || self.worker(owned, rx, tx_back));
+            // Helpers build and own their shards for the whole run
+            // (worlds hold non-Send state, so they never move).
+            let handles: Vec<_> = (1..jobs)
+                .map(|w| {
+                    let (barrier, port, coordinator) = (&barrier, &ports[w], &coordinator);
+                    scope.spawn(move || self.helper(w, jobs, barrier, port, coordinator))
+                })
+                .collect();
+            let stop = StopGuard {
+                barrier: &barrier,
+                helpers: handles.iter().map(|h| h.thread().clone()).collect(),
+            };
+
+            let mut own = self.build_shards(0, jobs);
+            let windowed = self.coordinate(&mut own, jobs, &barrier, &ports, &stop.helpers);
+            drop(stop);
+
+            let mut results: Vec<ShardResult> =
+                own.iter().map(|s| shard_result(&self.config, s)).collect();
+            for h in handles {
+                // A helper's panic resurfaces here with its own payload.
+                results.extend(h.join().unwrap_or_else(|p| panic::resume_unwind(p)));
             }
-            drop(report_tx);
-
-            // Coordinator: window barrier loop.
-            let mut ingress = IngressLine::new(cfg.fleet_link);
-            let mut pending: Vec<Vec<Delivery>> = (0..jobs).map(|_| Vec::new()).collect();
-            let mut windows = 0u64;
-            let mut fleet_msgs = 0u64;
-            loop {
-                windows += 1;
-                assert!(
-                    windows <= cfg.max_windows,
-                    "fleet exceeded {} windows without finishing \
-                     (deadlocked tenant graph?)",
-                    cfg.max_windows
-                );
-                let end = SimTime::from_nanos(window.as_nanos() * windows);
-                for (w, tx) in cmd_txs.iter().enumerate() {
-                    let deliveries = std::mem::take(&mut pending[w]);
-                    tx.send(Cmd::Window { end, deliveries })
-                        .expect("worker alive");
-                }
-
-                // Collect exactly one report per shard, slotting by shard
-                // id so arrival order (host timing) cannot matter.
-                let mut staged: Vec<Vec<StagedMsg>> = (0..shards).map(|_| Vec::new()).collect();
-                let mut all_done = true;
-                for _ in 0..shards {
-                    match report_rx.recv().expect("worker alive") {
-                        Report::Window {
-                            shard,
-                            staged: s,
-                            clients_done,
-                        } => {
-                            all_done &= clients_done;
-                            staged[shard as usize] = s;
-                        }
-                        Report::Done(_) => unreachable!("Done before Finish"),
-                    }
-                }
-
-                // Deterministic merge: global (depart, src_shard, src_seq)
-                // order, then per-destination ingress serialization.
-                // A fleet with every client Done has no in-flight
-                // messages (a pending request or reply implies a blocked,
-                // unfinished client), so `all_done` plus an empty merge is
-                // a safe quiescence test.
-                let merged = comm::merge_windows(staged);
-                let quiescent = merged.is_empty();
-                fleet_msgs += merged.len() as u64;
-                for m in merged {
-                    let spec = &self.tenants[m.src as usize];
-                    let weight = cfg.weights.weight(spec.class).max(1);
-                    let stretch = (cfg.weights.total() / weight).max(1);
-                    let at = ingress.admit(m.dst, m.depart, ByteSize::bytes(m.bytes), stretch);
-                    let dst_shard = m.dst / cfg.tenants_per_shard;
-                    let local = m.dst % cfg.tenants_per_shard;
-                    // Requests land on the server vCPU, replies on the
-                    // client vCPU.
-                    let vcpu = 2 * local + u32::from(m.tag == TAG_REQ);
-                    pending[owner_of[dst_shard as usize]].push(Delivery {
-                        shard: dst_shard,
-                        at,
-                        vcpu,
-                        conn: u64::from(m.src),
-                        bytes: m.bytes,
-                    });
-                }
-
-                if all_done && quiescent {
-                    break;
-                }
-            }
-
-            for tx in &cmd_txs {
-                tx.send(Cmd::Finish).expect("worker alive");
-            }
-            let mut results: Vec<Option<ShardResult>> = (0..shards).map(|_| None).collect();
-            for _ in 0..shards {
-                match report_rx.recv().expect("worker alive") {
-                    Report::Done(r) => {
-                        let slot = r.shard as usize;
-                        results[slot] = Some(*r);
-                    }
-                    Report::Window { .. } => unreachable!("Window after Finish"),
-                }
-            }
-
-            // Combine in shard order: the digest is a pure function of
-            // simulation state.
-            let mut digest = Fnv1a::new();
-            let mut tenants = Vec::with_capacity(self.tenants.len());
-            let mut events = 0u64;
-            let mut finish = SimTime::ZERO;
-            for r in results.into_iter().map(|r| r.expect("every shard reports")) {
-                digest.write_u64(r.digest);
-                events += r.events;
-                finish = finish.max(r.finish);
-                for (tenant, samples) in r.tenants {
-                    tenants.push(TenantStats { tenant, samples });
-                }
-            }
-            out = Some(FleetReport {
-                tenants,
-                digest: digest.finish(),
-                windows,
-                events,
-                fleet_msgs,
-                finish,
-            });
-        });
-        out.expect("coordinator ran")
+            let (windows, fleet_msgs) = windowed.expect("only a helper panic aborts the windows");
+            self.report(results, windows, fleet_msgs)
+        })
     }
 
-    /// Worker loop: build owned shards, then alternate
-    /// inject-run-drain per window until told to finish.
-    fn worker(&self, owned: Vec<u32>, rx: mpsc::Receiver<Cmd>, tx: mpsc::Sender<Report>) {
+    /// The coordinator's window loop; returns `(windows, fleet_msgs)`, or
+    /// `None` if a helper panicked.
+    fn coordinate(
+        &self,
+        own: &mut [Shard],
+        jobs: usize,
+        barrier: &Barrier,
+        ports: &[Mutex<Port>],
+        helpers: &[Thread],
+    ) -> Option<(u64, u64)> {
         let cfg = &self.config;
-        let mut sims: Vec<VmSim> = owned.iter().map(|&s| self.build_shard(s)).collect();
-        let mut seqs: Vec<u64> = vec![0; owned.len()];
-        let index_of = |shard: u32| owned.iter().position(|&s| s == shard).expect("owned shard");
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                Cmd::Window { end, deliveries } => {
-                    for d in deliveries {
-                        let sim = &mut sims[index_of(d.shard)];
-                        sim.engine.external_ctx().schedule_at(
-                            d.at,
-                            Event::FleetDeliver {
-                                vcpu: VcpuId::new(d.vcpu),
-                                msg: GuestMsg::Net {
-                                    conn: d.conn,
-                                    bytes: d.bytes,
-                                },
-                            },
-                        );
-                    }
-                    for (i, sim) in sims.iter_mut().enumerate() {
-                        let shard = owned[i];
-                        sim.run_until(end);
-                        let staged = sim
-                            .world
-                            .drain_fleet_outbox()
-                            .into_iter()
-                            .map(|m| {
-                                let local = m.src_vcpu.0 / 2;
-                                let seq = seqs[i];
-                                seqs[i] += 1;
-                                StagedMsg {
-                                    depart: m.depart,
-                                    src_shard: shard,
-                                    src_seq: seq,
-                                    src: shard * cfg.tenants_per_shard + local,
-                                    dst: m.dst,
-                                    bytes: m.bytes,
-                                    tag: m.tag,
-                                }
-                            })
-                            .collect();
-                        let clients_done = (0..cfg.tenants_per_shard)
-                            .all(|t| sim.world.stats.vcpu_finish[2 * t as usize].is_some());
-                        tx.send(Report::Window {
-                            shard,
-                            staged,
-                            clients_done,
-                        })
-                        .expect("coordinator alive");
-                    }
-                }
-                Cmd::Finish => {
-                    for (i, sim) in sims.iter_mut().enumerate() {
-                        let shard = owned[i];
-                        tx.send(Report::Done(Box::new(shard_result(cfg, shard, sim))))
-                            .expect("coordinator alive");
-                    }
-                    break;
-                }
+        let window = cfg.fleet_link.lookahead();
+        let mut ingress = IngressLine::new(cfg.fleet_link);
+        let mut pending: Vec<Vec<Delivery>> = (0..jobs).map(|_| Vec::new()).collect();
+        let mut merged: Vec<StagedMsg> = Vec::new();
+        let mut windows = 0u64;
+        let mut fleet_msgs = 0u64;
+        loop {
+            windows += 1;
+            assert!(
+                windows <= cfg.max_windows,
+                "fleet exceeded {} windows without finishing \
+                 (deadlocked tenant graph?)",
+                cfg.max_windows
+            );
+            let end = SimTime::from_nanos(window.as_nanos() * windows);
+            for (port, next) in ports.iter().zip(&mut pending) {
+                let mut port = port.lock().expect(POISONED);
+                port.end = end;
+                // The port's old deliveries were drained, so this hands
+                // their buffer back for the next window's merge.
+                std::mem::swap(&mut port.deliveries, next);
             }
+            barrier.gen.store(windows, Ordering::Release);
+            for h in helpers {
+                h.unpark();
+            }
+
+            self.step(own, jobs, &mut ports[0].lock().expect(POISONED));
+            let target = windows * helpers.len() as u64;
+            wait_until(|| {
+                barrier.arrived.load(Ordering::Acquire) >= target
+                    || barrier.failed.load(Ordering::Acquire)
+            });
+            if barrier.failed.load(Ordering::Acquire) {
+                return None;
+            }
+
+            // Deterministic merge: global (depart, src_shard, src_seq)
+            // order, then per-destination ingress serialization.
+            // A fleet with every client Done has no in-flight
+            // messages (a pending request or reply implies a blocked,
+            // unfinished client), so `all_done` plus an empty merge is
+            // a safe quiescence test.
+            merged.clear();
+            let mut all_done = true;
+            for port in ports {
+                let port = port.lock().expect(POISONED);
+                merged.extend_from_slice(&port.staged);
+                all_done &= port.clients_done;
+            }
+            comm::merge_windows(&mut merged);
+            fleet_msgs += merged.len() as u64;
+            for m in &merged {
+                let spec = &self.tenants[m.src as usize];
+                let weight = cfg.weights.weight(spec.class).max(1);
+                let stretch = (cfg.weights.total() / weight).max(1);
+                let at = ingress.admit(m.dst, m.depart, ByteSize::bytes(m.bytes), stretch);
+                let dst_shard = m.dst / cfg.tenants_per_shard;
+                let local = m.dst % cfg.tenants_per_shard;
+                // Requests land on the server vCPU, replies on the
+                // client vCPU.
+                let vcpu = 2 * local + u32::from(m.tag == TAG_REQ);
+                pending[dst_shard as usize % jobs].push(Delivery {
+                    shard: dst_shard,
+                    at,
+                    vcpu,
+                    conn: u64::from(m.src),
+                    bytes: m.bytes,
+                });
+            }
+
+            if all_done && merged.is_empty() {
+                return Some((windows, fleet_msgs));
+            }
+        }
+    }
+
+    /// A helper's life: build worker `w`'s shards, run one window per
+    /// barrier generation, and return their final state once stopped.
+    fn helper(
+        &self,
+        w: usize,
+        jobs: usize,
+        barrier: &Barrier,
+        port: &Mutex<Port>,
+        coordinator: &Thread,
+    ) -> Vec<ShardResult> {
+        let _fail = FailGuard {
+            barrier,
+            coordinator,
+        };
+        let mut shards = self.build_shards(w, jobs);
+        let helpers = jobs as u64 - 1;
+        let mut seen = 0u64;
+        loop {
+            wait_until(|| {
+                barrier.gen.load(Ordering::Acquire) > seen || barrier.stop.load(Ordering::Acquire)
+            });
+            if barrier.stop.load(Ordering::Acquire) {
+                break;
+            }
+            seen += 1;
+            self.step(&mut shards, jobs, &mut port.lock().expect(POISONED));
+            // The last helper to arrive wakes the coordinator.
+            if barrier.arrived.fetch_add(1, Ordering::Release) + 1 == seen * helpers {
+                coordinator.unpark();
+            }
+        }
+        shards
+            .iter()
+            .map(|s| shard_result(&self.config, s))
+            .collect()
+    }
+
+    /// Worker `w`'s shards (round-robin by shard id), built on the
+    /// calling thread.
+    fn build_shards(&self, w: usize, jobs: usize) -> Vec<Shard> {
+        (0..self.config.shards)
+            .filter(|s| *s as usize % jobs == w)
+            .map(|id| Shard {
+                id,
+                sim: self.build_shard(id),
+                seq: 0,
+            })
+            .collect()
+    }
+
+    /// One window on one worker: inject the merged deliveries, run every
+    /// owned shard to `port.end`, and stage what the shards sent.
+    fn step(&self, shards: &mut [Shard], jobs: usize, port: &mut Port) {
+        let cfg = &self.config;
+        let Port {
+            end,
+            deliveries,
+            staged,
+            clients_done,
+        } = port;
+        for d in deliveries.drain(..) {
+            // Shard `s` is its worker's `s / jobs`-th (round-robin).
+            let shard = &mut shards[d.shard as usize / jobs];
+            shard.sim.engine.external_ctx().schedule_at(
+                d.at,
+                Event::FleetDeliver {
+                    vcpu: VcpuId::new(d.vcpu),
+                    msg: GuestMsg::Net {
+                        conn: d.conn,
+                        bytes: d.bytes,
+                    },
+                },
+            );
+        }
+        staged.clear();
+        *clients_done = true;
+        for shard in shards.iter_mut() {
+            shard.sim.run_until(*end);
+            let id = shard.id;
+            let seq = &mut shard.seq;
+            staged.extend(shard.sim.world.drain_fleet_outbox().map(|m| {
+                let src_seq = *seq;
+                *seq += 1;
+                StagedMsg {
+                    depart: m.depart,
+                    src_shard: id,
+                    src_seq,
+                    src: id * cfg.tenants_per_shard + m.src_vcpu.0 / 2,
+                    dst: m.dst,
+                    bytes: m.bytes,
+                    tag: m.tag,
+                }
+            }));
+            *clients_done &= (0..cfg.tenants_per_shard)
+                .all(|t| shard.sim.world.stats.vcpu_finish[2 * t as usize].is_some());
+        }
+    }
+
+    /// Combines per-shard results in shard order: the digest is a pure
+    /// function of simulation state.
+    fn report(&self, mut results: Vec<ShardResult>, windows: u64, fleet_msgs: u64) -> FleetReport {
+        results.sort_unstable_by_key(|r| r.shard);
+        let mut digest = Fnv1a::new();
+        let mut tenants = Vec::with_capacity(self.tenants.len());
+        let mut events = 0u64;
+        let mut finish = SimTime::ZERO;
+        for r in results {
+            digest.write_u64(r.digest);
+            events += r.events;
+            finish = finish.max(r.finish);
+            for (tenant, samples) in r.tenants {
+                tenants.push(TenantStats { tenant, samples });
+            }
+        }
+        FleetReport {
+            tenants,
+            digest: digest.finish(),
+            windows,
+            events,
+            fleet_msgs,
+            finish,
         }
     }
 
@@ -494,7 +632,8 @@ impl FleetSim {
 }
 
 /// Digest + stats for one finished shard.
-fn shard_result(cfg: &FleetConfig, shard: u32, sim: &mut VmSim) -> ShardResult {
+fn shard_result(cfg: &FleetConfig, shard: &Shard) -> ShardResult {
+    let (shard, sim) = (shard.id, &shard.sim);
     let mut h = Fnv1a::new();
     h.write_u64(u64::from(shard));
     h.write_u64(sim.engine.delivered());
@@ -710,14 +849,33 @@ mod tests {
     use super::*;
 
     fn small_fleet(shards: u32, tenants_per_shard: u32, seed: u64) -> FleetSim {
+        fleet_of(shards, tenants_per_shard, seed, scenario::uniform)
+    }
+
+    fn fleet_of(
+        shards: u32,
+        tenants_per_shard: u32,
+        seed: u64,
+        peers: fn(u32) -> Vec<u32>,
+    ) -> FleetSim {
         let mut cfg = FleetConfig::new(shards, tenants_per_shard);
         cfg.seed = seed;
         let total = cfg.tenants();
-        let specs: Vec<TenantSpec> = scenario::uniform(total)
-            .into_iter()
-            .map(TenantSpec::new)
-            .collect();
+        let specs: Vec<TenantSpec> = peers(total).into_iter().map(TenantSpec::new).collect();
         FleetSim::new(cfg, specs)
+    }
+
+    fn assert_same(a: &FleetReport, b: &FleetReport) {
+        assert_eq!(a.digest, b.digest);
+        assert_eq!(a.windows, b.windows);
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.fleet_msgs, b.fleet_msgs);
+        assert_eq!(a.finish, b.finish);
+        assert_eq!(a.tenants.len(), b.tenants.len());
+        for (x, y) in a.tenants.iter().zip(&b.tenants) {
+            assert_eq!(x.tenant, y.tenant);
+            assert_eq!(x.samples, y.samples);
+        }
     }
 
     #[test]
@@ -734,31 +892,20 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_runs_are_byte_identical() {
-        let fleet = small_fleet(4, 3, 11);
-        let serial = fleet.run(1);
-        let par2 = fleet.run(2);
-        let par4 = fleet.run(4);
-        assert_eq!(serial.digest, par2.digest);
-        assert_eq!(serial.digest, par4.digest);
-        assert_eq!(serial.windows, par4.windows);
-        assert_eq!(serial.events, par4.events);
-        assert_eq!(serial.finish, par4.finish);
-        for (a, b) in serial.tenants.iter().zip(&par4.tenants) {
-            assert_eq!(a.tenant, b.tenant);
-            assert_eq!(a.samples, b.samples);
+        // At 3 jobs over 4 shards the coordinator runs shards 0 and 3 and
+        // each helper runs one shard; every split must merge identically.
+        for peers in [scenario::uniform, scenario::incast] {
+            let fleet = fleet_of(4, 3, 11, peers);
+            let serial = fleet.run(1);
+            for jobs in 2..=4 {
+                assert_same(&serial, &fleet.run(jobs));
+            }
         }
     }
 
     #[test]
     fn incast_serializes_on_the_hot_ingress_line() {
-        let mut cfg = FleetConfig::new(2, 4);
-        cfg.seed = 3;
-        let total = cfg.tenants();
-        let specs: Vec<TenantSpec> = scenario::incast(total)
-            .into_iter()
-            .map(TenantSpec::new)
-            .collect();
-        let incast = FleetSim::new(cfg, specs).run(2);
+        let incast = fleet_of(2, 4, 3, scenario::incast).run(2);
         let uniform = small_fleet(2, 4, 3).run(2);
         let max = |r: &FleetReport| {
             r.tenants
@@ -773,6 +920,49 @@ mod tests {
             max(&incast),
             max(&uniform)
         );
+    }
+
+    fn capped_fleet(jobs: usize) {
+        let mut cfg = FleetConfig::new(4, 2);
+        cfg.max_windows = 3;
+        let specs = scenario::uniform(cfg.tenants())
+            .into_iter()
+            .map(TenantSpec::new)
+            .collect();
+        FleetSim::new(cfg, specs).run(jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet exceeded")]
+    fn window_cap_panics_serial() {
+        capped_fleet(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet exceeded")]
+    fn window_cap_releases_one_helper() {
+        capped_fleet(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet exceeded")]
+    fn window_cap_releases_three_helpers() {
+        capped_fleet(4);
+    }
+
+    /// Tenant 1 lives on shard 1, which a helper owns at `jobs = 2`; its
+    /// server's heap cannot fit in guest memory, so the first request it
+    /// serves panics inside that helper.
+    #[test]
+    #[should_panic(expected = "guest out of memory")]
+    fn helper_panic_surfaces_at_the_coordinator() {
+        let cfg = FleetConfig::new(2, 1);
+        let mut specs: Vec<TenantSpec> = scenario::uniform(cfg.tenants())
+            .into_iter()
+            .map(TenantSpec::new)
+            .collect();
+        specs[1].pages = 1 << 40;
+        FleetSim::new(cfg, specs).run(2);
     }
 
     #[test]

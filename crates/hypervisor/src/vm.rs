@@ -624,12 +624,10 @@ impl VmWorld {
     }
 
     /// Drains the messages staged since the last window barrier, in issue
-    /// order. Empty when no fleet outbox is attached.
-    pub fn drain_fleet_outbox(&mut self) -> Vec<FleetOutMsg> {
-        match self.fleet_outbox.as_mut() {
-            Some(ob) => std::mem::take(ob),
-            None => Vec::new(),
-        }
+    /// order. The outbox keeps its buffer, so a steady-state window stages
+    /// without allocating. Empty when no fleet outbox is attached.
+    pub fn drain_fleet_outbox(&mut self) -> impl Iterator<Item = FleetOutMsg> + '_ {
+        self.fleet_outbox.iter_mut().flat_map(|ob| ob.drain(..))
     }
 
     /// Slot of `(node, pcpu)`, creating an idle un-loaded pCPU if absent.
