@@ -1,9 +1,8 @@
-//! Microbenchmarks of the simulator core's hot paths: event-queue churn
-//! on both backends (calendar vs reference heap), the DSM directory fast
-//! and slow paths (hit storm, batched scan, read-share fan-out, write
-//! ping-pong, node drain) and a FragBFF cluster replay. These are the
-//! loops every figure experiment runs millions of times, so their
-//! throughput bounds the simulator's own speed.
+//! Microbenchmarks of the simulator core's hot paths: event-queue churn,
+//! the DSM directory fast and slow paths (hit storm, batched scan,
+//! read-share fan-out, write ping-pong, node drain) and a FragBFF cluster
+//! replay. These are the loops every figure experiment runs millions of
+//! times, so their throughput bounds the simulator's own speed.
 //!
 //! The shared workload bodies live in `bench_harness::experiments`
 //! (`corebench`), so this bench, the `core_bench` binary behind
@@ -18,7 +17,7 @@
 //! (the CI smoke mode; numbers are meaningless but the harness is proven).
 
 use bench_harness::experiments::{
-    dsm_batch_scan, dsm_hit_storm, fragbff_replay, queue_churn, CoreSizes, QueueBackend,
+    dsm_batch_scan, dsm_hit_storm, fragbff_replay, queue_churn, CoreSizes,
 };
 use comm::NodeId;
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -50,14 +49,9 @@ fn queue(c: &mut Criterion) {
     g.throughput(Throughput::Elements(
         (s.queue_occupancy * 2 + s.queue_churn * 2) as u64,
     ));
-    for (name, backend) in [
-        ("queue_churn_calendar", QueueBackend::Calendar),
-        ("queue_churn_heap", QueueBackend::Heap),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(queue_churn(backend, s.queue_occupancy, s.queue_churn)))
-        });
-    }
+    g.bench_function("queue_churn_heap", |b| {
+        b.iter(|| black_box(queue_churn(s.queue_occupancy, s.queue_churn)))
+    });
     g.finish();
 }
 

@@ -5,7 +5,7 @@
 //!            [--gate PATH] [--tolerance PCT]
 //! ```
 //!
-//! Runs the `core_hotpath` workloads (queue churn on both backends, DSM
+//! Runs the `core_hotpath` workloads (event-queue churn, DSM
 //! hit storm, batched scan, drain, FragBFF replay) with `std::time`
 //! timing and prints Melem/s per case. `CORE_SMOKE=1` (or `--smoke`)
 //! selects tiny CI shapes.
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use bench_harness::experiments::{
     dsm_batch_scan, dsm_drain, dsm_hit_storm, fleet_run, fragbff_replay, queue_churn, vm_dispatch,
-    CoreSizes, QueueBackend,
+    CoreSizes,
 };
 
 /// One measured case: name plus millions of elements per second.
@@ -62,11 +62,8 @@ fn measure(name: &'static str, reps: u32, f: impl Fn() -> u64) -> Measurement {
 fn run_suite(sizes: &CoreSizes, reps: u32) -> Vec<Measurement> {
     let s = *sizes;
     vec![
-        measure("queue_churn_calendar", reps, move || {
-            queue_churn(QueueBackend::Calendar, s.queue_occupancy, s.queue_churn)
-        }),
         measure("queue_churn_heap", reps, move || {
-            queue_churn(QueueBackend::Heap, s.queue_occupancy, s.queue_churn)
+            queue_churn(s.queue_occupancy, s.queue_churn)
         }),
         measure("dsm_hit_storm", reps, move || {
             dsm_hit_storm(s.storm_pages, s.storm_accesses)

@@ -22,15 +22,6 @@ use sim_core::time::SimTime;
 use super::scale::{run_policy, ScaleConfig};
 use super::POLICIES;
 
-/// Which `EventQueue` backend a queue workload drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// The calendar queue production backend.
-    Calendar,
-    /// The `BinaryHeap` reference backend (A/B comparison).
-    Heap,
-}
-
 /// Case sizes for one suite run.
 #[derive(Debug, Clone, Copy)]
 pub struct CoreSizes {
@@ -121,13 +112,10 @@ impl CoreSizes {
 
 /// Steady-state event-queue churn at a fixed occupancy: seed the queue,
 /// then pop the head and schedule a successor a short delta ahead (with an
-/// occasional far-future timer, the overflow-ladder shape), then drain.
-/// Returns total push+pop operations.
-pub fn queue_churn(backend: QueueBackend, occupancy: usize, churn: usize) -> u64 {
-    let mut q: EventQueue<u64> = match backend {
-        QueueBackend::Calendar => EventQueue::with_capacity(occupancy),
-        QueueBackend::Heap => EventQueue::reference_heap(),
-    };
+/// occasional far-future timer), then drain. Returns total push+pop
+/// operations.
+pub fn queue_churn(occupancy: usize, churn: usize) -> u64 {
+    let mut q: EventQueue<u64> = EventQueue::with_capacity(occupancy);
     let mut lcg: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut next = move || {
         lcg = lcg

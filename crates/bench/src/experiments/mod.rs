@@ -32,7 +32,7 @@ pub use apps::{fig12_lemp, fig13_openlambda};
 pub use chaos::chaos_soak;
 pub use corebench::{
     dsm_batch_scan, dsm_drain, dsm_hit_storm, fleet_run, fragbff_replay, queue_churn, vm_dispatch,
-    CoreSizes, QueueBackend,
+    CoreSizes,
 };
 pub use extensions::{
     ablation_study, interference_study, memory_borrowing_study, provisioning_study,

@@ -121,9 +121,6 @@ pub struct FleetConfig {
     pub weights: ClassWeights,
     /// Determinism seed (each shard derives its own stream).
     pub seed: u64,
-    /// Event-queue calendarization threshold for shard engines
-    /// (`None` = the default high-water mark).
-    pub calendar_threshold: Option<usize>,
     /// Safety cap on window barriers before declaring the fleet hung.
     pub max_windows: u64,
 }
@@ -141,7 +138,6 @@ impl FleetConfig {
             fleet_link: LinkProfile::ethernet_1g(),
             weights: ClassWeights::default_qos(),
             seed: 0xF1EE7,
-            calendar_threshold: Some(256),
             max_windows: 20_000_000,
         }
     }
@@ -605,9 +601,6 @@ impl FleetSim {
         let base = shard * cfg.tenants_per_shard;
         let mut b = VmBuilder::new(cfg.profile, nodes as usize)
             .seed(cfg.seed ^ (0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(u64::from(shard) + 1)));
-        if let Some(t) = cfg.calendar_threshold {
-            b = b.with_calendar_threshold(t);
-        }
         for local in 0..cfg.tenants_per_shard {
             let tenant = base + local;
             let spec = self.tenants[tenant as usize];

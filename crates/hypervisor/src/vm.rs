@@ -2245,7 +2245,6 @@ pub struct VmBuilder {
     failure: Option<FailureConfig>,
     mem_cfg: Option<MemoryConfig>,
     seed: u64,
-    calendar_threshold: Option<usize>,
 }
 
 impl VmBuilder {
@@ -2265,17 +2264,7 @@ impl VmBuilder {
             failure: None,
             mem_cfg: None,
             seed: 0x5EED,
-            calendar_threshold: None,
         }
-    }
-
-    /// Overrides the event queue's calendarization threshold (see
-    /// [`sim_core::engine::EventQueue::with_calendar_threshold`]). Fleet
-    /// shards hosting many tenants set this low so the queue calendarizes
-    /// early instead of waiting for the default high-water mark.
-    pub fn with_calendar_threshold(mut self, threshold: usize) -> Self {
-        self.calendar_threshold = Some(threshold);
-        self
     }
 
     /// Configures the memory subsystem through a [`MemoryConfig`] (its
@@ -2494,11 +2483,8 @@ impl VmBuilder {
         };
         // Steady-state occupancy is a handful of events per vCPU (steps,
         // timer ticks, in-flight messages); reserving up front keeps the
-        // queue from rehashing during boot storms.
-        let mut engine = match self.calendar_threshold {
-            Some(t) => Engine::with_calendar_threshold(t),
-            None => Engine::with_capacity(world.vcpus.len() * 8 + 64),
-        };
+        // queue from regrowing during boot storms.
+        let mut engine = Engine::with_capacity(world.vcpus.len() * 8 + 64);
         engine.schedule_at(SimTime::ZERO, Event::Start);
         VmSim { engine, world }
     }

@@ -6,15 +6,11 @@
 //! by insertion order (a monotonically increasing sequence number), which —
 //! together with [`crate::rng::DetRng`] — makes runs fully deterministic.
 //!
-//! The queue runs on a calendar/ladder structure by default
-//! (`crate::calendar`); the original `BinaryHeap` survives as
-//! [`EventQueue::reference_heap`] for A/B comparison and differential
-//! testing. Both produce the same pop order by construction.
+//! The queue is a plain `BinaryHeap` keyed on `(time, sequence)`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::calendar::CalendarQueue;
 use crate::time::SimTime;
 
 /// A world that reacts to events of type `Self::Event`.
@@ -65,10 +61,10 @@ impl<E> Ctx<'_, E> {
     }
 }
 
-pub(crate) struct Scheduled<E> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) ev: E,
+struct Scheduled<E> {
+    at: SimTime,
+    seq: u64,
+    ev: E,
 }
 
 impl<E> Scheduled<E> {
@@ -101,24 +97,16 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The queue backend: the calendar structure by default, with the
-/// original `BinaryHeap` kept as a reference implementation for A/B
-/// benchmarking and differential tests.
-enum QueueImpl<E> {
-    Calendar(CalendarQueue<E>),
-    Heap(BinaryHeap<Scheduled<E>>),
-}
-
 /// A time-ordered queue of pending events.
 ///
 /// # Ordering contract (public)
 ///
 /// Events pop in ascending `(time, insertion order)`: among events with
 /// equal timestamps, the one pushed first pops first (FIFO). Simulations
-/// rely on this for determinism; both backends uphold it and the
-/// differential proptest in `tests/proptest_queue.rs` enforces it.
+/// rely on this for determinism; the model proptest in
+/// `tests/proptest_queue.rs` checks it against a linear-scan oracle.
 pub struct EventQueue<E> {
-    imp: QueueImpl<E>,
+    heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
 }
 
@@ -129,52 +117,23 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue (calendar backend).
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            imp: QueueImpl::Calendar(CalendarQueue::new()),
-            seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue pre-sized for `cap` pending events, so bulk
     /// loads (e.g. a datacenter trace's arrivals) skip heap regrowth.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            imp: QueueImpl::Calendar(CalendarQueue::with_capacity(cap)),
-            seq: 0,
-        }
-    }
-
-    /// Creates an empty queue that switches from pure-heap to calendar
-    /// mode at `threshold` pending events instead of the built-in default
-    /// (2048). `0` calendarizes on the very first push. Pop order is
-    /// identical regardless of the threshold; only the bookkeeping
-    /// crossover point moves, so figure-scale VMs and fleet-scale engines
-    /// can be tuned independently.
-    pub fn with_calendar_threshold(threshold: usize) -> Self {
-        EventQueue {
-            imp: QueueImpl::Calendar(CalendarQueue::with_threshold(threshold)),
-            seq: 0,
-        }
-    }
-
-    /// Creates an empty queue on the reference `BinaryHeap` backend.
-    /// Pop order is identical to [`EventQueue::new`]; this exists for A/B
-    /// benchmarking and differential testing.
-    pub fn reference_heap() -> Self {
-        EventQueue {
-            imp: QueueImpl::Heap(BinaryHeap::new()),
+            heap: BinaryHeap::with_capacity(cap),
             seq: 0,
         }
     }
 
     /// Reserves room for at least `additional` more events.
     pub fn reserve(&mut self, additional: usize) {
-        match &mut self.imp {
-            QueueImpl::Calendar(c) => c.reserve(additional),
-            QueueImpl::Heap(h) => h.reserve(additional),
-        }
+        self.heap.reserve(additional);
     }
 
     /// Pushes `ev` at absolute time `at`.
@@ -182,44 +141,29 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, ev: E) {
         let seq = self.seq;
         self.seq += 1;
-        let s = Scheduled { at, seq, ev };
-        match &mut self.imp {
-            QueueImpl::Calendar(c) => c.push(s),
-            QueueImpl::Heap(h) => h.push(s),
-        }
+        self.heap.push(Scheduled { at, seq, ev });
     }
 
     /// Pops the earliest event, if any (FIFO among equal timestamps).
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.imp {
-            QueueImpl::Calendar(c) => c.pop(),
-            QueueImpl::Heap(h) => h.pop(),
-        }
-        .map(|s| (s.at, s.ev))
+        self.heap.pop().map(|s| (s.at, s.ev))
     }
 
     /// Returns the timestamp of the earliest pending event.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.imp {
-            QueueImpl::Calendar(c) => c.peek(),
-            QueueImpl::Heap(h) => h.peek(),
-        }
-        .map(|s| s.at)
+        self.heap.peek().map(|s| s.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Calendar(c) => c.len(),
-            QueueImpl::Heap(h) => h.len(),
-        }
+        self.heap.len()
     }
 
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -239,11 +183,7 @@ impl<E> Default for Engine<E> {
 impl<E> Engine<E> {
     /// Creates an engine at time zero with an empty queue.
     pub fn new() -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            delivered: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an engine whose queue is pre-sized for `cap` pending
@@ -252,27 +192,6 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::with_capacity(cap),
-            delivered: 0,
-        }
-    }
-
-    /// Creates an engine on the reference `BinaryHeap` queue backend (see
-    /// [`EventQueue::reference_heap`]) — for A/B benchmarking only; pop
-    /// order is identical to [`Engine::new`].
-    pub fn reference_heap() -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            queue: EventQueue::reference_heap(),
-            delivered: 0,
-        }
-    }
-
-    /// Creates an engine whose queue calendarizes at `threshold` pending
-    /// events (see [`EventQueue::with_calendar_threshold`]).
-    pub fn with_calendar_threshold(threshold: usize) -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            queue: EventQueue::with_calendar_threshold(threshold),
             delivered: 0,
         }
     }
@@ -288,13 +207,18 @@ impl<E> Engine<E> {
     }
 
     /// Schedules an initial event at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than [`Engine::now`], as
+    /// [`Ctx::schedule_at`] does.
     pub fn schedule_at(&mut self, at: SimTime, ev: E) {
-        self.queue.push(at, ev);
+        self.external_ctx().schedule_at(at, ev);
     }
 
     /// Schedules an initial event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimTime, ev: E) {
-        self.queue.push(self.now + delay, ev);
+        self.external_ctx().schedule_in(delay, ev);
     }
 
     /// Creates a scheduling context at the current time, for injecting
@@ -420,28 +344,26 @@ mod tests {
     }
 
     /// The public FIFO contract: same-time pushes pop in insertion order,
-    /// on both backends, including after events in between.
+    /// including after events in between.
     #[test]
     fn fifo_tie_break_is_a_public_contract() {
-        for mut q in [EventQueue::new(), EventQueue::reference_heap()] {
-            let t = SimTime::from_micros(7);
-            q.push(t, "first");
-            q.push(SimTime::from_micros(3), "early");
-            q.push(t, "second");
-            q.push(t, "third");
-            assert_eq!(q.pop(), Some((SimTime::from_micros(3), "early")));
-            assert_eq!(q.pop(), Some((t, "first")));
-            assert_eq!(q.pop(), Some((t, "second")));
-            assert_eq!(q.pop(), Some((t, "third")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(7);
+        q.push(t, "first");
+        q.push(SimTime::from_micros(3), "early");
+        q.push(t, "second");
+        q.push(t, "third");
+        assert_eq!(q.pop(), Some((SimTime::from_micros(3), "early")));
+        assert_eq!(q.pop(), Some((t, "first")));
+        assert_eq!(q.pop(), Some((t, "second")));
+        assert_eq!(q.pop(), Some((t, "third")));
+        assert_eq!(q.pop(), None);
     }
 
-    /// Push enough events to flip the calendar out of pure-heap mode and
-    /// spread them far enough apart to exercise buckets and the overflow
-    /// ladder; pops must come out sorted by (time, seq).
+    /// Thousands of events spread over seconds, with same-time bursts;
+    /// pops must come out sorted by (time, seq).
     #[test]
-    fn calendar_mode_pops_sorted_under_wide_spread() {
+    fn wide_spread_pops_sorted_and_fifo() {
         let mut q = EventQueue::with_capacity(8192);
         // Deterministic scatter: times jump around a multi-second span
         // with same-time bursts every 16th push.
@@ -467,78 +389,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 8192);
-    }
-
-    /// Threshold 0 calendarizes on the first push; pop order must still
-    /// match the reference heap exactly, including FIFO ties.
-    #[test]
-    fn always_calendar_threshold_matches_reference_heap() {
-        let mut cal = EventQueue::with_calendar_threshold(0);
-        let mut heap = EventQueue::reference_heap();
-        let mut t: u64 = 3;
-        for round in 0..32u64 {
-            for i in 0..50u64 {
-                if i % 8 != 0 {
-                    t = (t.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i)) % 2_000_000_000;
-                }
-                let payload = round * 1000 + i;
-                cal.push(SimTime(t), payload);
-                heap.push(SimTime(t), payload);
-            }
-            for _ in 0..30 {
-                assert_eq!(cal.pop(), heap.pop());
-            }
-        }
-        loop {
-            let (c, h) = (cal.pop(), heap.pop());
-            assert_eq!(c, h);
-            if c.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// A non-default threshold trips exactly at the configured occupancy
-    /// and keeps the FIFO tie contract intact afterwards.
-    #[test]
-    fn custom_calendar_threshold_preserves_fifo() {
-        let mut q = EventQueue::with_calendar_threshold(4);
-        let t = SimTime::from_micros(9);
-        for i in 0..16u64 {
-            q.push(t, i);
-        }
-        for i in 0..16u64 {
-            assert_eq!(q.pop(), Some((t, i)));
-        }
-        assert_eq!(q.pop(), None);
-    }
-
-    /// Mini differential check: interleaved pushes and pops on the
-    /// calendar backend match the reference heap pop-for-pop (the full
-    /// randomized version lives in `tests/proptest_queue.rs`).
-    #[test]
-    fn interleaved_push_pop_matches_reference_heap() {
-        let mut cal = EventQueue::new();
-        let mut heap = EventQueue::reference_heap();
-        let mut t: u64 = 1;
-        for round in 0..64u64 {
-            for i in 0..100u64 {
-                t = (t.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(i)) % 1_000_000_000;
-                let payload = round * 1000 + i;
-                cal.push(SimTime(t), payload);
-                heap.push(SimTime(t), payload);
-            }
-            for _ in 0..60 {
-                assert_eq!(cal.pop(), heap.pop());
-            }
-        }
-        loop {
-            let (c, h) = (cal.pop(), heap.pop());
-            assert_eq!(c, h);
-            if c.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]
@@ -607,5 +457,20 @@ mod tests {
         let mut eng = Engine::new();
         eng.schedule_at(SimTime::from_micros(10), ());
         eng.run_to_completion(&mut Bad);
+    }
+
+    /// `Engine::schedule_at` shares `Ctx`'s past-time assert: after a
+    /// bounded run moves the clock forward, scheduling behind it panics
+    /// instead of silently moving `now` backwards.
+    #[test]
+    #[should_panic(expected = "event scheduled in the past")]
+    fn engine_schedule_at_behind_the_clock_panics() {
+        let mut eng: Engine<Ev> = Engine::new();
+        let mut w = Recorder {
+            log: vec![],
+            bounce: false,
+        };
+        eng.run_until(&mut w, SimTime::from_micros(20));
+        eng.schedule_at(SimTime::from_micros(10), Ev::Ping(1));
     }
 }

@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-mod calendar;
 pub mod digest;
 pub mod engine;
 pub mod fault;
