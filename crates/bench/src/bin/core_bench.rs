@@ -1,31 +1,31 @@
-//! `core_bench` — the DES-core throughput suite behind `BENCH_CORE.json`.
+//! `core_bench` — the layer-bench suite behind `BENCH_CORE.json`.
 //!
 //! ```text
-//! core_bench [--smoke] [--update PATH] [--date D] [--pr N]
-//!            [--gate PATH] [--tolerance PCT]
+//! core_bench [--smoke] [--update PATH] [--date D] [--pr N] [--gate PATH]
 //! ```
 //!
-//! Runs the `core_hotpath` workloads (event-queue churn, DSM
-//! hit storm, batched scan, drain, FragBFF replay) with `std::time`
-//! timing and prints Melem/s per case. `CORE_SMOKE=1` (or `--smoke`)
-//! selects tiny CI shapes.
+//! Runs every case of `CORE_CASES` (event-queue churn; DSM hit storm,
+//! batched scan, drain, write ping-pong, read-share fan-out and first
+//! touch; the `PsCpu` add→complete cycle; `Fabric::send`; FragBFF replay;
+//! the VM dispatch cycle; serial and parallel fleet runs) with
+//! `std::time` timing and prints Melem/s per case. `--smoke` selects tiny
+//! CI shapes.
 //!
 //! * `--update PATH` appends this run to the trajectory document at
 //!   `PATH` (creating it if missing), under the run's mode key.
 //! * `--gate PATH` compares this run against the **latest** trajectory
 //!   entry's numbers for the same mode and exits non-zero if any metric
-//!   regressed by more than the tolerance (default 20%; `--tolerance 30`
-//!   loosens it, `CORE_GATE_TOLERANCE` is the env equivalent). Metrics
-//!   missing from the baseline pass trivially, so adding a case never
-//!   breaks the gate retroactively.
+//!   regressed by more than 20%. Metrics missing from the baseline pass
+//!   trivially, so adding a case never breaks the gate retroactively.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench_harness::experiments::{
-    dsm_batch_scan, dsm_drain, dsm_hit_storm, fleet_run, fragbff_replay, queue_churn, vm_dispatch,
-    CoreSizes,
-};
+use bench_harness::experiments::{CoreSizes, CORE_CASES};
+
+/// How far (percent) a case may fall below its baseline before the gate
+/// fails.
+const TOLERANCE_PCT: f64 = 20.0;
 
 /// One measured case: name plus millions of elements per second.
 struct Measurement {
@@ -60,36 +60,10 @@ fn measure(name: &'static str, reps: u32, f: impl Fn() -> u64) -> Measurement {
 }
 
 fn run_suite(sizes: &CoreSizes, reps: u32) -> Vec<Measurement> {
-    let s = *sizes;
-    vec![
-        measure("queue_churn_heap", reps, move || {
-            queue_churn(s.queue_occupancy, s.queue_churn)
-        }),
-        measure("dsm_hit_storm", reps, move || {
-            dsm_hit_storm(s.storm_pages, s.storm_accesses)
-        }),
-        measure("dsm_batch_scan", reps, move || {
-            dsm_batch_scan(s.scan_pages, s.scan_passes)
-        }),
-        measure("dsm_drain", reps, move || {
-            dsm_drain(s.drain_total, s.drain_owned)
-        }),
-        measure("fragbff_replay", reps, move || fragbff_replay(&s.fragbff)),
-        measure("vm_dispatch", reps, move || {
-            vm_dispatch(s.dispatch_vcpus, s.dispatch_cycles)
-        }),
-        measure("fleet_serial", reps, move || {
-            fleet_run(s.fleet_shards, s.fleet_tenants, s.fleet_rounds, 1)
-        }),
-        measure("fleet_parallel", reps, move || {
-            fleet_run(
-                s.fleet_shards,
-                s.fleet_tenants,
-                s.fleet_rounds,
-                s.fleet_jobs,
-            )
-        }),
-    ]
+    CORE_CASES
+        .iter()
+        .map(|&(name, case)| measure(name, reps, || case(sizes)))
+        .collect()
 }
 
 /// Extracts `"key": <number>` pairs from the given JSON object body.
@@ -167,7 +141,7 @@ fn update_trajectory(
     Ok(())
 }
 
-fn gate(path: &str, mode: &str, results: &[Measurement], tolerance: f64) -> Result<(), String> {
+fn gate(path: &str, mode: &str, results: &[Measurement]) -> Result<(), String> {
     let doc = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let base = baseline_metrics(&doc, mode);
     if base.is_empty() {
@@ -178,17 +152,17 @@ fn gate(path: &str, mode: &str, results: &[Measurement], tolerance: f64) -> Resu
         let Some((_, b)) = base.iter().find(|(k, _)| k == m.name) else {
             continue; // New case: no baseline yet, passes trivially.
         };
-        let floor = b * (1.0 - tolerance / 100.0);
+        let floor = b * (1.0 - TOLERANCE_PCT / 100.0);
         if m.melem_s < floor {
             failures.push(format!(
-                "{}: {:.3} Melem/s < floor {:.3} (baseline {:.3}, tolerance {tolerance}%)",
+                "{}: {:.3} Melem/s < floor {:.3} (baseline {:.3}, tolerance {TOLERANCE_PCT}%)",
                 m.name, m.melem_s, floor, b
             ));
         }
     }
     if failures.is_empty() {
         println!(
-            "gate: all {} metrics within {tolerance}% of {path}",
+            "gate: all {} metrics within {TOLERANCE_PCT}% of {path}",
             results.len()
         );
         Ok(())
@@ -201,17 +175,13 @@ fn gate(path: &str, mode: &str, results: &[Measurement], tolerance: f64) -> Resu
 }
 
 fn run() -> Result<(), String> {
-    let mut smoke = std::env::var_os("CORE_SMOKE").is_some();
+    let mut smoke = false;
     let mut update_path: Option<String> = None;
     let mut gate_path: Option<String> = None;
     let mut stamp = TrajectoryStamp {
         date: "unknown".to_string(),
         pr: 0,
     };
-    let mut tolerance: f64 = std::env::var("CORE_GATE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -231,13 +201,6 @@ fn run() -> Result<(), String> {
                     .ok_or("--pr needs a value")?
                     .parse()
                     .map_err(|_| "--pr: bad number".to_string())?;
-            }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .ok_or("--tolerance needs a value")?
-                    .parse()
-                    .map_err(|_| "--tolerance: bad number".to_string())?;
             }
             other => return Err(format!("unknown flag {other}")),
         }
@@ -260,7 +223,7 @@ fn run() -> Result<(), String> {
         update_trajectory(&path, mode, &stamp, &results)?;
     }
     if let Some(path) = gate_path {
-        gate(&path, mode, &results, tolerance)?;
+        gate(&path, mode, &results)?;
     }
     Ok(())
 }

@@ -6,10 +6,9 @@
 //!                   [--sample-every N] [--json PATH]
 //! ```
 //!
-//! Defaults come from the environment (`FRAGBFF_SMOKE=1` selects the CI
-//! smoke scale, `FRAGBFF_NODES`/`FRAGBFF_ARRIVALS`/`FRAGBFF_SEED`
-//! override knobs); flags override both. `--json` additionally writes the
-//! `BENCH_SCHED.json` trajectory document.
+//! Runs the full scale by default, or the CI smoke scale when
+//! `FRAGBFF_SMOKE=1`; the flags override either. `--json` additionally
+//! writes the `BENCH_SCHED.json` trajectory document.
 
 use std::process::ExitCode;
 

@@ -1,23 +1,25 @@
-//! Workloads for the `core_hotpath` suite: the simulator's own inner
-//! loops, exercised in isolation so their throughput can be tracked as a
+//! The layer cases of `core_bench`: the simulator's own inner loops,
+//! exercised in isolation so their throughput can be tracked as a
 //! first-class trajectory (`BENCH_CORE.json`) and gated in CI.
 //!
-//! Each function here is a pure, deterministic workload returning the
-//! number of elements it processed; callers time it (`core_bench` with
-//! `Instant`, `benches/core_hotpath.rs` with criterion) and divide. Sizes
-//! come from [`CoreSizes::full`] / [`CoreSizes::smoke`] so the binary, the
-//! criterion bench, and CI all run identical shapes.
+//! Each case is a pure, deterministic workload returning the number of
+//! elements it processed; `core_bench` times it and divides. [`CORE_CASES`]
+//! is the one registry of cases. Sizes are the fields of [`CoreSizes`]:
+//! [`CoreSizes::full`] for the committed trajectory, [`CoreSizes::smoke`]
+//! for CI, and the tests build a tiny one to check each case's count.
 
 use std::hint::black_box;
 
-use comm::NodeId;
+use comm::{Fabric, LinkProfile, Message, MsgClass, NodeId};
 use dsm::{Access, Dsm, DsmConfig, PageClass, PageId};
 use hypervisor::fleet::{scenario, FleetConfig, FleetSim, TenantSpec};
 use hypervisor::program::{Op, ProgCtx, Program};
 use hypervisor::vm::{Placement, VmBuilder};
 use hypervisor::HypervisorProfile;
 use sim_core::engine::EventQueue;
+use sim_core::pscpu::PsCpu;
 use sim_core::time::SimTime;
+use sim_core::units::ByteSize;
 
 use super::scale::{run_policy, ScaleConfig};
 use super::POLICIES;
@@ -41,6 +43,18 @@ pub struct CoreSizes {
     pub drain_total: u32,
     /// Pages owned by the drained node.
     pub drain_owned: u32,
+    /// Alternating-writer rounds on one shared page.
+    pub ping_pong_rounds: u32,
+    /// Pages in the read-share fan-out.
+    pub fanout_pages: u32,
+    /// Remote readers that each fault in every fan-out page.
+    pub fanout_readers: u32,
+    /// Never-seen pages written in the first-touch case.
+    pub first_touch_pages: u32,
+    /// Add→complete cycles on one processor-sharing CPU.
+    pub pscpu_cycles: u32,
+    /// Messages sent through the fabric.
+    pub fabric_sends: u32,
     /// FragBFF replay configuration.
     pub fragbff: ScaleConfig,
     /// vCPUs in the dispatch-cycle case.
@@ -69,6 +83,12 @@ impl CoreSizes {
             scan_passes: 16,
             drain_total: 204_800,
             drain_owned: 4096,
+            ping_pong_rounds: 1_000_000,
+            fanout_pages: 65_536,
+            fanout_readers: 7,
+            first_touch_pages: 262_144,
+            pscpu_cycles: 1_000_000,
+            fabric_sends: 1_000_000,
             fragbff: ScaleConfig::smoke(),
             dispatch_vcpus: 8,
             dispatch_cycles: 200_000,
@@ -93,6 +113,12 @@ impl CoreSizes {
             scan_passes: 8,
             drain_total: 25_600,
             drain_owned: 1024,
+            ping_pong_rounds: 131_072,
+            fanout_pages: 32_768,
+            fanout_readers: 3,
+            first_touch_pages: 65_536,
+            pscpu_cycles: 262_144,
+            fabric_sends: 131_072,
             fragbff: ScaleConfig {
                 nodes: 100,
                 arrivals: 1000,
@@ -110,11 +136,54 @@ impl CoreSizes {
     }
 }
 
+/// A named layer case: `(name, workload)`, where the workload runs at the
+/// given sizes and returns the elements it processed.
+pub type CoreCase = (&'static str, fn(&CoreSizes) -> u64);
+
+/// Every layer case, in the order `core_bench` runs and prints them. The
+/// names are the metric keys of `BENCH_CORE.json`.
+pub const CORE_CASES: &[CoreCase] = &[
+    ("queue_churn_heap", |s| {
+        queue_churn(s.queue_occupancy, s.queue_churn)
+    }),
+    ("dsm_hit_storm", |s| {
+        dsm_hit_storm(s.storm_pages, s.storm_accesses)
+    }),
+    ("dsm_batch_scan", |s| {
+        dsm_batch_scan(s.scan_pages, s.scan_passes)
+    }),
+    ("dsm_drain", |s| dsm_drain(s.drain_total, s.drain_owned)),
+    ("dsm_write_ping_pong", |s| {
+        dsm_write_ping_pong(s.ping_pong_rounds)
+    }),
+    ("dsm_read_fanout", |s| {
+        dsm_read_fanout(s.fanout_pages, s.fanout_readers)
+    }),
+    ("dsm_first_touch", |s| dsm_first_touch(s.first_touch_pages)),
+    ("pscpu_cycle", |s| pscpu_cycle(s.pscpu_cycles)),
+    ("fabric_send", |s| fabric_send(s.fabric_sends)),
+    ("fragbff_replay", |s| fragbff_replay(&s.fragbff)),
+    ("vm_dispatch", |s| {
+        vm_dispatch(s.dispatch_vcpus, s.dispatch_cycles)
+    }),
+    ("fleet_serial", |s| {
+        fleet_run(s.fleet_shards, s.fleet_tenants, s.fleet_rounds, 1)
+    }),
+    ("fleet_parallel", |s| {
+        fleet_run(
+            s.fleet_shards,
+            s.fleet_tenants,
+            s.fleet_rounds,
+            s.fleet_jobs,
+        )
+    }),
+];
+
 /// Steady-state event-queue churn at a fixed occupancy: seed the queue,
 /// then pop the head and schedule a successor a short delta ahead (with an
 /// occasional far-future timer), then drain. Returns total push+pop
 /// operations.
-pub fn queue_churn(occupancy: usize, churn: usize) -> u64 {
+fn queue_churn(occupancy: usize, churn: usize) -> u64 {
     let mut q: EventQueue<u64> = EventQueue::with_capacity(occupancy);
     let mut lcg: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut next = move || {
@@ -146,7 +215,7 @@ pub fn queue_churn(occupancy: usize, churn: usize) -> u64 {
 
 /// All-hit access storm on a warm directory (the common-case fast path).
 /// Returns accesses performed.
-pub fn dsm_hit_storm(pages: u32, accesses: u32) -> u64 {
+fn dsm_hit_storm(pages: u32, accesses: u32) -> u64 {
     let mut d = Dsm::new(DsmConfig::fragvisor());
     for i in 0..pages {
         d.ensure_page(PageId::new(i), NodeId::new(0), PageClass::Private);
@@ -161,7 +230,7 @@ pub fn dsm_hit_storm(pages: u32, accesses: u32) -> u64 {
 /// `passes` times through [`Dsm::access_batch`]. The first pass is a
 /// fault train (one directory transition per page), the rest are pure
 /// hit runs resolved one aggregated pass at a time. Returns touches.
-pub fn dsm_batch_scan(pages: u32, passes: u32) -> u64 {
+fn dsm_batch_scan(pages: u32, passes: u32) -> u64 {
     let mut d = Dsm::new(DsmConfig::fragvisor());
     for i in 0..pages {
         d.ensure_page(PageId::new(i), NodeId::new(0), PageClass::Private);
@@ -183,7 +252,7 @@ pub fn dsm_batch_scan(pages: u32, passes: u32) -> u64 {
 
 /// Drains a fixed-footprint node out of a much larger directory (the
 /// generation-stamp fast path). Returns pages moved.
-pub fn dsm_drain(total: u32, owned: u32) -> u64 {
+fn dsm_drain(total: u32, owned: u32) -> u64 {
     let mut d = Dsm::new(DsmConfig::fragvisor());
     for i in 0..owned {
         d.ensure_page(PageId::new(i), NodeId::new(1), PageClass::Private);
@@ -199,10 +268,83 @@ pub fn dsm_drain(total: u32, owned: u32) -> u64 {
     moved
 }
 
+/// Write ping-pong: nodes 1 and 2 take turns writing one shared page, so
+/// every access is a write fault that invalidates the other node's copy.
+/// Returns writes performed.
+fn dsm_write_ping_pong(rounds: u32) -> u64 {
+    let mut d = Dsm::new(DsmConfig::fragvisor());
+    d.ensure_page(PageId::new(0), NodeId::new(0), PageClass::AppShared);
+    for i in 0..rounds {
+        black_box(d.access(NodeId::new(i % 2 + 1), PageId::new(0), Access::Write));
+    }
+    u64::from(rounds)
+}
+
+/// Read-share fan-out: `readers` remote nodes each read every page homed
+/// on node 0, so each page's sharer set grows one node at a time. Returns
+/// reads performed (`pages * readers`).
+fn dsm_read_fanout(pages: u32, readers: u32) -> u64 {
+    let mut d = Dsm::new(DsmConfig::fragvisor());
+    for i in 0..pages {
+        d.ensure_page(PageId::new(i), NodeId::new(0), PageClass::AppShared);
+    }
+    for r in 1..=readers {
+        for i in 0..pages {
+            black_box(d.access(NodeId::new(r), PageId::new(i), Access::Read));
+        }
+    }
+    u64::from(pages) * u64::from(readers)
+}
+
+/// First touch: node 0 writes `pages` pages the directory has never seen,
+/// so every access allocates a directory entry. Returns pages touched.
+fn dsm_first_touch(pages: u32) -> u64 {
+    let mut d = Dsm::new(DsmConfig::fragvisor());
+    for i in 0..pages {
+        black_box(d.access(NodeId::new(0), PageId::new(i), Access::Write));
+    }
+    u64::from(pages)
+}
+
+/// The `PsCpu` add→complete cycle of a dedicated vCPU: add one burst,
+/// then deliver its completion event, `cycles` times. Returns tasks
+/// completed.
+fn pscpu_cycle(cycles: u32) -> u64 {
+    let mut cpu = PsCpu::new(1.0);
+    let mut done = Vec::new();
+    let mut now = SimTime::ZERO;
+    for i in 0..cycles {
+        let c = cpu.add(now, u64::from(i), SimTime::from_micros(10));
+        now = c.at;
+        cpu.on_completion_event_into(now, c.epoch, &mut done);
+        black_box(&done);
+    }
+    done.len() as u64
+}
+
+/// `Fabric::send` of 4 KiB DSM messages around a ring of four nodes on
+/// InfiniBand links, with the send clock trailing deliveries so the links
+/// stay backlogged. Returns messages sent.
+fn fabric_send(sends: u32) -> u64 {
+    let mut f = Fabric::homogeneous(4, LinkProfile::infiniband_56g());
+    let mut t = SimTime::ZERO;
+    for i in 0..sends {
+        let m = Message::new(
+            NodeId::new(i % 4),
+            NodeId::new((i + 1) % 4),
+            ByteSize::kib(4),
+            MsgClass::Dsm,
+        );
+        let d = f.send(t, m).expect("ring nodes are in range");
+        t = t.max(d.deliver_at.saturating_sub(SimTime::from_micros(5)));
+    }
+    black_box(f.messages_sent())
+}
+
 /// Replays the FragBFF cluster study under MinFragmentation and returns
 /// simulator events processed (the `exp_fragbff_scale` headline metric,
 /// here at a bench-friendly scale).
-pub fn fragbff_replay(cfg: &ScaleConfig) -> u64 {
+fn fragbff_replay(cfg: &ScaleConfig) -> u64 {
     run_policy(cfg, POLICIES[0]).report.events_processed
 }
 
@@ -231,7 +373,7 @@ impl Program for DispatchLoop {
 /// burn `cycles` tiny compute bursts. No DSM, no I/O, no sharing — the
 /// measured rate is the per-event hypervisor dispatch overhead. Returns
 /// engine events delivered.
-pub fn vm_dispatch(vcpus: u32, cycles: u32) -> u64 {
+fn vm_dispatch(vcpus: u32, cycles: u32) -> u64 {
     let mut b = VmBuilder::new(HypervisorProfile::fragvisor(), 1);
     for i in 0..vcpus {
         b = b.vcpu(
@@ -249,7 +391,7 @@ pub fn vm_dispatch(vcpus: u32, cycles: u32) -> u64 {
 /// delivered across shards. `fleet_serial` / `fleet_parallel` pairs of
 /// this case give the sharded engine's wall-clock speedup, and either one
 /// exercises the whole conservative window-barrier merge path.
-pub fn fleet_run(shards: u32, tenants_per_shard: u32, rounds: u32, jobs: usize) -> u64 {
+fn fleet_run(shards: u32, tenants_per_shard: u32, rounds: u32, jobs: usize) -> u64 {
     let cfg = FleetConfig::new(shards, tenants_per_shard);
     let total = cfg.tenants();
     let specs: Vec<TenantSpec> = scenario::uniform(total)

@@ -30,10 +30,7 @@ mod sched;
 
 pub use apps::{fig12_lemp, fig13_openlambda};
 pub use chaos::chaos_soak;
-pub use corebench::{
-    dsm_batch_scan, dsm_drain, dsm_hit_storm, fleet_run, fragbff_replay, queue_churn, vm_dispatch,
-    CoreSizes,
-};
+pub use corebench::{CoreCase, CoreSizes, CORE_CASES};
 pub use extensions::{
     ablation_study, interference_study, memory_borrowing_study, provisioning_study,
     reliability_study,
@@ -79,6 +76,22 @@ pub const FIGURES: &[Figure] = &[
     ("fig13_openlambda", fig13_openlambda),
     ("fig14_sched_migration", fig14_sched_migration),
 ];
+
+/// Looks up one figure by its exact [`FIGURES`] name.
+///
+/// # Errors
+///
+/// Returns a message listing every valid name if `name` is not one.
+pub fn figure(name: &str) -> Result<Figure, String> {
+    FIGURES
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .copied()
+        .ok_or_else(|| {
+            let names: Vec<&str> = FIGURES.iter().map(|&(n, _)| n).collect();
+            format!("unknown figure `{name}`; valid names: {}", names.join(", "))
+        })
+}
 
 /// Runs every figure experiment serially, in paper order.
 pub fn all() -> Vec<Table> {
@@ -157,5 +170,22 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// Every name selects exactly its own entry; anything else, including
+    /// a prefix of a valid name, is an error naming every valid figure.
+    #[test]
+    fn figure_selects_by_exact_name() {
+        for &(name, f) in FIGURES {
+            let (got, g) = figure(name).expect("listed figure");
+            assert_eq!(got, name);
+            assert!(std::ptr::fn_addr_eq(f, g), "{name} picked another fn");
+        }
+        for bad in ["", "fig01", "fig02_missing", "FIG12_LEMP"] {
+            let err = figure(bad).expect_err(bad);
+            for &(name, _) in FIGURES {
+                assert!(err.contains(name), "{err:?} does not list {name}");
+            }
+        }
     }
 }

@@ -84,23 +84,13 @@ impl ScaleConfig {
     }
 
     /// Reads the config from the environment: `FRAGBFF_SMOKE=1` selects
-    /// [`ScaleConfig::smoke`]; `FRAGBFF_NODES` / `FRAGBFF_ARRIVALS` /
-    /// `FRAGBFF_SEED` override individual knobs.
+    /// [`ScaleConfig::smoke`], anything else [`ScaleConfig::full`].
     pub fn from_env() -> Self {
-        let smoke = std::env::var("FRAGBFF_SMOKE").is_ok_and(|v| v == "1");
-        let mut cfg = if smoke { Self::smoke() } else { Self::full() };
-        let env_num = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
-        if let Some(n) = env_num("FRAGBFF_NODES") {
-            cfg.nodes = n as usize;
+        if std::env::var("FRAGBFF_SMOKE").is_ok_and(|v| v == "1") {
+            Self::smoke()
+        } else {
+            Self::full()
         }
-        if let Some(n) = env_num("FRAGBFF_ARRIVALS") {
-            cfg.arrivals = n as usize;
-        }
-        if let Some(s) = env_num("FRAGBFF_SEED") {
-            cfg.seed = s;
-        }
-        cfg.sample_every = 0;
-        cfg.autosample()
     }
 
     /// Picks a decimation rate targeting ~512 timeline samples when none

@@ -2,9 +2,9 @@
 //!
 //! Each `fig*` function in [`experiments`] runs the corresponding
 //! experiment end to end on the simulator and returns a [`report::Table`]
-//! with the same rows/series the paper reports. The `src/bin/fig*`
-//! binaries print one figure each; `src/bin/all_figures` runs everything
-//! and emits the combined record used by `EXPERIMENTS.md`.
+//! with the same rows/series the paper reports. `src/bin/all_figures`
+//! runs everything (or one figure, with `--only <name>`) and emits the
+//! combined record used by `EXPERIMENTS.md`.
 //!
 //! Absolute numbers come from a calibrated simulator, not the authors'
 //! InfiniBand testbed — the claims under reproduction are the *shapes*:
